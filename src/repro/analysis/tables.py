@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 Cell = Union[str, int, float, None]
 
@@ -22,6 +22,10 @@ class Table:
     headers: List[str]
     rows: List[List[Cell]] = dataclasses.field(default_factory=list)
     notes: List[str] = dataclasses.field(default_factory=list)
+    #: How the results were produced (e.g. which replay engine ran each
+    #: policy).  Reported in experiment manifests; never rendered, so
+    #: text and CSV output do not depend on it.
+    provenance: Dict[str, object] = dataclasses.field(default_factory=dict)
 
     def add_row(self, *cells: Cell) -> None:
         self.rows.append(list(cells))

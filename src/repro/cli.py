@@ -305,7 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     timings = {}
     if args.timing:
-        simulator = FrameTimingSimulator(system)
+        simulator = FrameTimingSimulator(system, engine=args.engine)
         timing_table = Table(
             "Frame timing", ["Policy", "Frame ms", "FPS (full scale)", "Speedup"]
         )

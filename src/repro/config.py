@@ -192,6 +192,14 @@ class DRAMConfig:
     def __post_init__(self) -> None:
         if self.channels <= 0 or self.banks_per_channel <= 0:
             raise ConfigError("DRAM must have positive channel/bank counts")
+        if not (
+            is_power_of_two(self.channels)
+            and is_power_of_two(self.banks_per_channel)
+        ):
+            raise ConfigError(
+                "DRAM channel and bank counts must be powers of two "
+                "(addresses interleave on block-address bits)"
+            )
         if min(self.tcas, self.trcd, self.trp) < 0:
             raise ConfigError("DRAM latencies must be non-negative")
 

@@ -32,12 +32,13 @@ def performance_table(
     baseline: str = BASELINE,
 ) -> Table:
     """Shared implementation for Figures 15-17."""
-    simulator = FrameTimingSimulator(system)
+    simulator = FrameTimingSimulator(system, engine=config.engine)
     table = Table(
         title, ["Application"] + [p.upper() for p in policies] + ["FPS(best)"]
     )
     totals: Dict[str, List[float]] = {policy: [] for policy in policies}
     best_fps: List[float] = []
+    engines: Dict[str, str] = {}
     for app, frames in group_frames_by_app(config.frames()).items():
         per_policy: Dict[str, List[float]] = {policy: [] for policy in policies}
         fps_app: List[float] = []
@@ -47,6 +48,10 @@ def performance_table(
             timings: Dict[str, FrameTiming] = {
                 policy: simulator.run(trace, policy) for policy in policies
             }
+            engines[baseline] = base.engine
+            engines.update(
+                (policy, timing.engine) for policy, timing in timings.items()
+            )
             for policy in policies:
                 per_policy[policy].append(timings[policy].speedup_over(base))
             fps_app.append(timings[policies[-1]].fps_full_scale)
@@ -65,6 +70,7 @@ def performance_table(
         f"speedups are relative to {baseline.upper()}; FPS column reports "
         f"{policies[-1].upper()} corrected to full frame resolution"
     )
+    table.provenance["timing_engines"] = engines
     return table
 
 

@@ -27,8 +27,8 @@ BASELINE = "drrip+ucd"
 )
 def run(config: ExperimentConfig) -> List[Table]:
     system = config.system()
-    windowed = FrameTimingSimulator(system)
-    detailed = DetailedGPUSimulator(system)
+    windowed = FrameTimingSimulator(system, engine=config.engine)
+    detailed = DetailedGPUSimulator(system, engine=config.engine)
     table = Table(
         "Timing-model cross-validation: speedup over DRRIP+UCD",
         ["Policy", "Windowed model", "Detailed model", "FPS (win)", "FPS (det)"],

@@ -53,6 +53,9 @@ class DecodedTrace:
     #: DRAM traffic of the bypassed accesses.
     bypass_reads: int
     bypass_writes: int
+    #: Which trace accesses were filtered out as uncached (``None`` when
+    #: none were), so replayed indices map back to trace positions.
+    uncached_mask: Optional[np.ndarray] = None
 
 
 def decode_trace(
@@ -71,6 +74,7 @@ def decode_trace(
     bypasses = [0] * _NUM_STREAMS
     bypass_reads = 0
     bypass_writes = 0
+    uncached_mask = None
     if uncached:
         # Dense table lookup instead of np.isin: one O(n) take against 8
         # slots, which matters now that ingested captures (unbounded,
@@ -84,6 +88,7 @@ def decode_trace(
             bypasses = [int(count) for count in counts]
             bypass_writes = int(writes[mask].sum())
             bypass_reads = int(mask.sum()) - bypass_writes
+            uncached_mask = mask
             keep = ~mask
             blocks = blocks[keep]
             streams = streams[keep]
@@ -111,4 +116,5 @@ def decode_trace(
         bypasses_per_stream=bypasses,
         bypass_reads=bypass_reads,
         bypass_writes=bypass_writes,
+        uncached_mask=uncached_mask,
     )

@@ -13,6 +13,18 @@ hooks) — uses the reference engine.
 is applicable and silently falls back otherwise, so results never
 change with the engine knob; ``fast`` is strict and raises when the run
 cannot take the fast path.
+
+The same rule selects the replay behind the timing models
+(:class:`~repro.gpu.timing.FrameTimingSimulator`,
+:class:`~repro.gpu.detailed.DetailedGPUSimulator`): they replay once
+with ``record=True`` and consume the resulting
+:class:`~repro.sim.replaylog.ReplayLog`, which the fast kernels record
+in a separately compiled logged variant and the reference engine from
+``LLC.access`` return values and its write-back sink.  Fig15-17,
+``gspc-sim --timing`` and the ``timing`` experiment pass their
+``engine`` setting through, so under ``auto`` a covered policy's frame
+timing takes the fast path too, and ``FrameTiming.engine`` records
+which engine ran.
 """
 
 from __future__ import annotations

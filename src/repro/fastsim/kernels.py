@@ -53,6 +53,7 @@ def replay(blocks, bases, streams, sclasses, writes, next_uses,
     dirty = [False] * total_slots
     rt = [False] * total_slots
 ${setup}
+${log_setup}
     hits_s = [0] * 8
     misses_s = [0] * 8
     evictions = 0
@@ -64,7 +65,7 @@ ${setup}
     rt_cons = 0
     dram_reads = 0
     dram_writes = 0
-    for ${loop_vars} in zip(${loop_srcs}):
+    for ${loop_head}:
         slot = lookup_get(block)
         if slot is not None:
             hits_s[stream] += 1
@@ -83,7 +84,9 @@ ${select_victim}
             if dirty[slot]:
                 writebacks += 1
                 dram_writes += 1
+${log_writeback}
             del lookup[tags[slot]]
+${log_miss}
         fills += 1
         lookup[block] = slot
         tags[slot] = block
@@ -531,10 +534,30 @@ slot = base + seg.index(max(seg))
     },
 }
 
-_COMPILED: Dict[str, Callable] = {}
+# The logged variant of a kernel additionally records, per replayed
+# access index, every miss and every dirty eviction (with the victim's
+# block) into two caller-supplied buffers — the raw material of a
+# :class:`~repro.sim.replaylog.ReplayLog`.  It is a separate compiled
+# function, so plain replays run the unlogged loop unchanged.
+_LOG_SETUP = """\
+log_miss = params["miss_log"].append
+log_writeback = params["writeback_log"].append
+"""
+
+_LOG_WRITEBACK = """\
+log_writeback(index)
+log_writeback(tags[slot])
+"""
+
+_LOG_MISS = "log_miss(index)"
+
+#: Stands in for an unused log placeholder; its line is dropped.
+_UNUSED = "#unused"
+
+_COMPILED: Dict[Tuple[str, bool], Callable] = {}
 
 
-def kernel_source(kind: str) -> str:
+def kernel_source(kind: str, logged: bool = False) -> str:
     """The generated source of one kernel (also kept on the function)."""
     if kind not in _SPECS:
         known = ", ".join(sorted(_SPECS))
@@ -548,33 +571,58 @@ def kernel_source(kind: str) -> str:
     if spec.get("needs_bank"):
         loop_vars += ", bank, sample"
         loop_srcs += ", banks, samples"
+    if logged:
+        loop_head = f"index, ({loop_vars}) in enumerate(zip({loop_srcs}))"
+    else:
+        loop_head = f"{loop_vars} in zip({loop_srcs})"
     hit_body = spec.get("hit_body")
     if hit_body is None:
         hit_body = _DEFAULT_HIT_BODY.substitute(on_hit=str(spec["on_hit"]).rstrip())
-    return _TEMPLATE.substitute(
+    source = _TEMPLATE.substitute(
         setup=textwrap.indent(str(spec["setup"]).rstrip(), " " * 4),
+        log_setup=(
+            textwrap.indent(_LOG_SETUP.rstrip(), " " * 4) if logged else _UNUSED
+        ),
         hit_body=textwrap.indent(str(hit_body).rstrip(), " " * 12),
         select_victim=textwrap.indent(
             str(spec["select_victim"]).rstrip(), " " * 12
         ),
+        log_writeback=(
+            textwrap.indent(_LOG_WRITEBACK.rstrip(), " " * 16)
+            if logged
+            else _UNUSED
+        ),
+        log_miss=textwrap.indent(_LOG_MISS, " " * 8) if logged else _UNUSED,
         on_fill=textwrap.indent(str(spec["on_fill"]).rstrip(), " " * 8),
-        loop_vars=loop_vars,
-        loop_srcs=loop_srcs,
+        loop_head=loop_head,
         fill_counts="fill_counts" if spec.get("fill_counts") else "None",
+    )
+    # Dropping the unused placeholders' lines keeps a plain kernel's
+    # source exactly what it is without logging.
+    return "".join(
+        line
+        for line in source.splitlines(keepends=True)
+        if line.rstrip("\n") != _UNUSED
     )
 
 
-def kernel_for(kind: str) -> Callable:
-    """Compile (once) and return the replay kernel named ``kind``."""
-    kernel = _COMPILED.get(kind)
+def kernel_for(kind: str, logged: bool = False) -> Callable:
+    """Compile (once) and return the replay kernel named ``kind``.
+
+    ``logged`` selects the variant that appends to ``params["miss_log"]``
+    and ``params["writeback_log"]`` (see :data:`_LOG_SETUP`).
+    """
+    key = (kind, logged)
+    kernel = _COMPILED.get(key)
     if kernel is None:
-        source = kernel_source(kind)
+        source = kernel_source(kind, logged)
+        name = f"{kind}_logged" if logged else kind
         namespace: Dict[str, object] = {}
-        exec(compile(source, f"<fastsim-kernel:{kind}>", "exec"), namespace)
+        exec(compile(source, f"<fastsim-kernel:{name}>", "exec"), namespace)
         kernel = namespace["replay"]
-        kernel.__name__ = f"replay_{kind}"
+        kernel.__name__ = f"replay_{name}"
         kernel.__source__ = source
-        _COMPILED[kind] = kernel
+        _COMPILED[key] = kernel
     return kernel
 
 

@@ -17,7 +17,10 @@ the last context drains.
 The model is deliberately still analytic — no event heap, one pass over
 the trace with O(1) state per resource — so it stays fast enough to run
 inside experiments, yet exhibits queueing effects the windowed model
-cannot: MSHR saturation, bank conflicts, and burstiness.
+cannot: MSHR saturation, bank conflicts, and burstiness.  Like the
+windowed model it drives no cache itself: the LLC outcome of every
+access and the dirty write-backs come from the
+:class:`~repro.sim.replaylog.ReplayLog` of one recorded replay.
 """
 
 from __future__ import annotations
@@ -28,10 +31,8 @@ from typing import List, Optional
 
 from repro.cache.llc import HIT, MISS
 from repro.config import SystemConfig
-from repro.core.base import NEVER
 from repro.gpu.shader import WORK_FLOPS_PER_ACCESS
-from repro.sim.future import next_use_indices
-from repro.sim.offline import PolicyLike, build_llc
+from repro.sim.offline import PolicyLike, simulate_trace
 from repro.trace.record import Trace
 from repro.utils.bitops import ilog2
 
@@ -72,18 +73,28 @@ class DetailedTiming:
 
 
 class DetailedGPUSimulator:
-    """Replays LLC traces through the queueing model."""
+    """Replays LLC traces through the queueing model.
 
-    def __init__(self, system: SystemConfig) -> None:
+    ``engine`` selects the LLC replay that records the log, as for
+    :class:`~repro.gpu.timing.FrameTimingSimulator`.
+    """
+
+    def __init__(self, system: SystemConfig, engine: str = "auto") -> None:
         self.system = system
+        self.engine = engine
 
     def run(self, trace: Trace, policy: PolicyLike) -> DetailedTiming:
         system = self.system
         gpu, dram = system.gpu, system.dram
-        pending_writebacks: List[int] = []
-        llc = build_llc(
-            policy, system.llc, writeback_sink=pending_writebacks.append
+        result = simulate_trace(
+            trace, policy, system.llc, engine=self.engine, record=True
         )
+        outcomes = result.log.outcomes.tolist()
+        # Write-backs in access order; each drains right after the
+        # access that evicted it.
+        writeback_index, writeback_address = result.log.writebacks()
+        writeback_index.append(len(outcomes))  # sentinel
+        next_writeback = 0
 
         flops_per_ns = gpu.peak_tflops * 1e3 * 0.55
         contexts = gpu.thread_contexts
@@ -116,18 +127,10 @@ class DetailedGPUSimulator:
         addresses = trace.addresses.tolist()
         streams = trace.streams.tolist()
         writes = trace.writes.tolist()
-        if llc.policy.needs_future:
-            next_uses = next_use_indices(
-                trace.block_addresses(system.llc.block_bytes)
-            ).tolist()
-        else:
-            next_uses = None
 
-        access = llc.access
         finish_time = 0.0
         mshr_stalls = 0
         row_hits = 0
-        miss_count = 0
         warp_ready = 0.0
         position_in_warp = 0
 
@@ -142,8 +145,7 @@ class DetailedGPUSimulator:
 
             compute_ns = WORK_FLOPS_PER_ACCESS[stream] / flops_per_ns
             issue = warp_ready + compute_ns
-            next_use = next_uses[index] if next_uses is not None else NEVER
-            outcome = access(address, stream, write, next_use)
+            outcome = outcomes[index]
 
             if outcome == HIT:
                 done = issue + llc_hit_ns
@@ -151,7 +153,6 @@ class DetailedGPUSimulator:
                 # Reads (misses and bypasses) go to DRAM; an LLC miss
                 # also needs a free MSHR.
                 if outcome == MISS:
-                    miss_count += 1
                     while len(mshrs) >= mshr_capacity:
                         released = heapq.heappop(mshrs)
                         if released > issue:
@@ -176,29 +177,29 @@ class DetailedGPUSimulator:
                     heapq.heappush(mshrs, done)
                 done += llc_hit_ns
 
-            if pending_writebacks:
+            while writeback_index[next_writeback] == index:
                 # Dirty evictions drain to DRAM as posted writes at
                 # their true victim addresses (no context blocking).
-                for victim_address in pending_writebacks:
-                    victim_block = victim_address >> 6
-                    wb_channel = victim_block & (dram.channels - 1)
-                    wb_bank = (victim_block >> channel_bits) & bank_mask
-                    wb_row = victim_address >> row_shift
-                    wb_start = max(
-                        issue,
-                        bank_free[wb_channel][wb_bank],
-                        bus_free[wb_channel],
-                    )
-                    if open_row[wb_channel][wb_bank] == wb_row:
-                        wb_service = row_hit_ns
-                    else:
-                        open_row[wb_channel][wb_bank] = wb_row
-                        wb_service = row_miss_ns
-                    bank_free[wb_channel][wb_bank] = wb_start + wb_service
-                    bus_free[wb_channel] = (
-                        max(bus_free[wb_channel], wb_start) + transfer_ns
-                    )
-                pending_writebacks.clear()
+                victim_address = writeback_address[next_writeback]
+                next_writeback += 1
+                victim_block = victim_address >> 6
+                wb_channel = victim_block & (dram.channels - 1)
+                wb_bank = (victim_block >> channel_bits) & bank_mask
+                wb_row = victim_address >> row_shift
+                wb_start = max(
+                    issue,
+                    bank_free[wb_channel][wb_bank],
+                    bus_free[wb_channel],
+                )
+                if open_row[wb_channel][wb_bank] == wb_row:
+                    wb_service = row_hit_ns
+                else:
+                    open_row[wb_channel][wb_bank] = wb_row
+                    wb_service = row_miss_ns
+                bank_free[wb_channel][wb_bank] = wb_start + wb_service
+                bus_free[wb_channel] = (
+                    max(bus_free[wb_channel], wb_start) + transfer_ns
+                )
 
             if write and outcome != HIT:
                 # Posted writes do not block the context.
@@ -214,13 +215,14 @@ class DetailedGPUSimulator:
         while context_free:
             finish_time = max(finish_time, heapq.heappop(context_free))
 
-        total_memory_ops = max(1, llc.stats.misses + llc.stats.bypasses)
+        stats = result.stats
+        total_memory_ops = max(1, stats.misses + stats.bypasses)
         return DetailedTiming(
-            policy=llc.policy.name,
+            policy=result.policy,
             frame_ns=finish_time,
             accesses=len(trace),
-            misses=llc.stats.misses,
-            mshr_stall_fraction=mshr_stalls / max(1, llc.stats.misses),
+            misses=stats.misses,
+            mshr_stall_fraction=mshr_stalls / max(1, stats.misses),
             row_hit_rate=row_hits / total_memory_ops,
             scale=float(trace.meta.get("scale", system.scale or 1.0)),
         )

@@ -1,8 +1,11 @@
 """Frame-time simulation: LLC trace -> frames per second.
 
-The simulator replays a frame's LLC access trace through a functional
-LLC (any replacement policy) while integrating time window by window.
-Within a window, shading/fixed-function compute, LLC bank occupancy and
+Like the paper's methodology, this runs in two steps.  The offline
+cache simulator replays the frame once (either engine, see
+:func:`repro.sim.offline.simulate_trace`) and records a
+:class:`~repro.sim.replaylog.ReplayLog`; the timing model then consumes
+that log, integrating time window by window.  Within a window,
+shading/fixed-function compute, LLC bank occupancy and
 DRAM service largely overlap — a GPU is a throughput machine — so the
 window's duration is their maximum plus the latency that the thread
 contexts could not hide.  This reproduces the paper's observed
@@ -17,15 +20,16 @@ import dataclasses
 import time
 from typing import Dict, Iterable, Optional
 
-from repro.cache.llc import BYPASS, MISS
+import numpy as np
+
+from repro.cache.llc import MISS
 from repro.config import SystemConfig
-from repro.core.base import NEVER
 from repro.gpu.dram import DRAMTimingModel
 from repro.gpu.llc_timing import LLCTimingModel
 from repro.gpu.shader import ShaderModel
 from repro.obs.spans import SpanRecorder
-from repro.sim.offline import PolicyLike, build_llc
-from repro.sim.future import next_use_indices
+from repro.sim.offline import PolicyLike, simulate_trace
+from repro.sim.replaylog import ReplayLog
 from repro.streams import Stream
 from repro.trace.record import Trace
 
@@ -48,11 +52,14 @@ class FrameTiming:
     dram_row_hit_rate: float
     #: Linear frame scale the trace was generated at (for FPS correction).
     scale: float = 1.0
-    #: Wall-clock spent preparing the run (array conversion, next-use
-    #: precompute) vs. integrating the windows — mirrors
-    #: :class:`~repro.sim.results.SimResult`.
+    #: Wall-clock spent preparing the replay (decode, next-use
+    #: precompute) vs. replaying the LLC and integrating the windows —
+    #: mirrors :class:`~repro.sim.results.SimResult`.
     setup_seconds: float = 0.0
     replay_seconds: float = 0.0
+    #: Replay engine that produced the request log ("reference" or
+    #: "fast").  Provenance only: not part of :meth:`to_dict`.
+    engine: str = ""
 
     @property
     def elapsed_seconds(self) -> float:
@@ -97,10 +104,17 @@ class FrameTiming:
 
 
 class FrameTimingSimulator:
-    """Reusable timing simulator for one system configuration."""
+    """Reusable timing simulator for one system configuration.
 
-    def __init__(self, system: SystemConfig) -> None:
+    ``engine`` selects the LLC replay that produces the request log
+    (``"auto"``, ``"fast"`` or ``"reference"``, as for
+    :func:`~repro.sim.offline.simulate_trace`); timings are identical
+    whichever engine runs.
+    """
+
+    def __init__(self, system: SystemConfig, engine: str = "auto") -> None:
         self.system = system
+        self.engine = engine
 
     def run(
         self,
@@ -111,92 +125,83 @@ class FrameTimingSimulator:
         system = self.system
         if spans is None:
             spans = SpanRecorder()
-        dram = DRAMTimingModel(system.dram)
-        # Dirty evictions reach DRAM with their true victim addresses,
-        # so write traffic participates in row-locality modeling.
-        llc = build_llc(
+        result = simulate_trace(
+            trace,
             policy,
             system.llc,
-            writeback_sink=lambda address: dram.request(address, True),
+            spans=spans,
+            engine=self.engine,
+            record=True,
         )
+        integrate_started = time.perf_counter()
+        with spans.span("integrate"):
+            totals = self._integrate(trace, result.log)
+        integrate_seconds = time.perf_counter() - integrate_started
+        return FrameTiming(
+            policy=result.policy,
+            accesses=len(trace),
+            misses=result.stats.misses,
+            scale=float(trace.meta.get("scale", system.scale or 1.0)),
+            setup_seconds=result.setup_seconds,
+            replay_seconds=result.replay_seconds + integrate_seconds,
+            engine=result.log.engine,
+            **totals,
+        )
+
+    def _integrate(self, trace: Trace, log: ReplayLog) -> Dict[str, float]:
+        """Frame time of a replay log, window by window.
+
+        Every window closes after ``WINDOW_ACCESSES`` accesses, plus one
+        final close at the end of the trace (empty when the length is a
+        multiple of the window).  Per-window counts are bincounts; only
+        the sum over windows runs in Python, in window order.
+        """
+        system = self.system
         shader = ShaderModel(system.gpu)
         llc_timing = LLCTimingModel(system.llc, system.gpu)
+        dram = DRAMTimingModel(system.dram)
 
-        setup_started = time.perf_counter()
-        with spans.span("setup"):
-            addresses = trace.addresses.tolist()
-            streams = trace.streams.tolist()
-            writes = trace.writes.tolist()
-            if llc.policy.needs_future:
-                next_uses = next_use_indices(
-                    trace.block_addresses(system.llc.block_bytes)
-                ).tolist()
-            else:
-                next_uses = None
-        setup_seconds = time.perf_counter() - setup_started
+        num_windows = len(trace) // WINDOW_ACCESSES + 1
+        windows = np.arange(len(trace), dtype=np.int64) // WINDOW_ACCESSES
+        stream_keys = [int(s) for s in Stream]
+        stream_counts = np.bincount(
+            windows * len(stream_keys) + trace.streams,
+            minlength=num_windows * len(stream_keys),
+        ).reshape(num_windows, len(stream_keys))
+        lookups = np.bincount(windows, minlength=num_windows).tolist()
+        misses = np.bincount(
+            windows[log.outcomes == MISS], minlength=num_windows
+        ).tolist()
+        service = dram.serve_windows(
+            log.request_address,
+            log.request_index // WINDOW_ACCESSES,
+            num_windows,
+        )
 
         total_ns = 0.0
         compute_total = 0.0
         dram_total = 0.0
         llc_total = 0.0
         exposed_total = 0.0
-        window_counts: Dict[int, int] = {int(s): 0 for s in Stream}
-        window_misses = 0
-        window_lookups = 0
-        access = llc.access
-
-        def close_window() -> None:
-            nonlocal total_ns, compute_total, dram_total, llc_total
-            nonlocal exposed_total, window_misses, window_lookups
-            dram_ns = dram.drain_window_ns()
-            compute_ns = shader.compute_ns(window_counts)
-            llc_ns = llc_timing.occupancy_ns(window_lookups)
-            miss_latency = dram.average_latency_ns() + llc_timing.hit_latency_ns
-            exposed_ns = shader.exposed_latency_ns(window_misses, miss_latency)
+        for window, counts in enumerate(stream_counts.tolist()):
+            dram_ns = service.service_ns[window]
+            compute_ns = shader.compute_ns(dict(zip(stream_keys, counts)))
+            llc_ns = llc_timing.occupancy_ns(lookups[window])
+            miss_latency = service.latency_ns[window] + llc_timing.hit_latency_ns
+            exposed_ns = shader.exposed_latency_ns(misses[window], miss_latency)
             total_ns += max(compute_ns, dram_ns, llc_ns) + exposed_ns
             compute_total += compute_ns
             dram_total += dram_ns
             llc_total += llc_ns
             exposed_total += exposed_ns
-            for key in window_counts:
-                window_counts[key] = 0
-            window_misses = 0
-            window_lookups = 0
-
-        replay_started = time.perf_counter()
-        with spans.span("replay"):
-            for index, (address, stream, write) in enumerate(
-                zip(addresses, streams, writes)
-            ):
-                next_use = next_uses[index] if next_uses is not None else NEVER
-                outcome = access(address, stream, write, next_use)
-                window_counts[stream] += 1
-                window_lookups += 1
-                if outcome == MISS:
-                    dram.request(address, False)
-                    window_misses += 1
-                elif outcome == BYPASS:
-                    # Uncached accesses go straight to DRAM (read or write).
-                    dram.request(address, write)
-                if (index + 1) % WINDOW_ACCESSES == 0:
-                    close_window()
-            close_window()
-        replay_seconds = time.perf_counter() - replay_started
-
-        return FrameTiming(
-            policy=llc.policy.name,
-            frame_ns=total_ns,
-            compute_ns=compute_total,
-            dram_ns=dram_total,
-            llc_ns=llc_total,
-            exposed_ns=exposed_total,
-            accesses=len(trace),
-            misses=llc.stats.misses,
-            dram_row_hit_rate=dram.row_hit_rate,
-            scale=float(trace.meta.get("scale", system.scale or 1.0)),
-            setup_seconds=setup_seconds,
-            replay_seconds=replay_seconds,
-        )
+        return {
+            "frame_ns": total_ns,
+            "compute_ns": compute_total,
+            "dram_ns": dram_total,
+            "llc_ns": llc_total,
+            "exposed_ns": exposed_total,
+            "dram_row_hit_rate": dram.row_hit_rate,
+        }
 
 
 def simulate_frame_timing(

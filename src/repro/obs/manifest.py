@@ -157,7 +157,11 @@ def timing_manifest(
     spans: Optional[SpanRecorder] = None,
     trace_meta: Optional[Mapping[str, object]] = None,
 ) -> Dict[str, object]:
-    """Manifest for one :class:`~repro.gpu.timing.FrameTiming`."""
+    """Manifest for one :class:`~repro.gpu.timing.FrameTiming`.
+
+    ``engine`` records which replay engine produced the timing's
+    request log (``timing.engine``).
+    """
     manifest = _envelope(
         "frame-timing",
         config,
@@ -168,6 +172,8 @@ def timing_manifest(
         trace={"accesses": timing.accesses, **_jsonable(trace_meta or {})},
         metrics=_jsonable(timing.to_dict()),
     )
+    if timing.engine:
+        manifest["engine"] = timing.engine
     return manifest
 
 
@@ -195,7 +201,9 @@ def experiment_manifest(
         metrics={
             "tables": [
                 {"title": table.title, "columns": list(table.headers),
-                 "rows": len(table.rows)}
+                 "rows": len(table.rows),
+                 **({"provenance": _jsonable(table.provenance)}
+                    if table.provenance else {})}
                 for table in (tables or [])
             ]
         },

@@ -8,8 +8,12 @@ simulator ... The offline model digests the LLC load/store access trace".
 
 from __future__ import annotations
 
+import array
+import itertools
 import time
 from typing import Iterable, Optional
+
+import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.llc import LLC, LLCObserver
@@ -19,6 +23,7 @@ from repro.core.registry import PolicyLike, resolve_policy
 from repro.core.rrip import RRIPPolicy
 from repro.obs.spans import SpanRecorder
 from repro.sim.future import next_use_indices
+from repro.sim.replaylog import ReplayLog
 from repro.sim.results import SimResult
 from repro.streams import Stream, StreamClass
 from repro.trace.record import Trace
@@ -53,6 +58,7 @@ def simulate_trace(
     observer: Optional[LLCObserver] = None,
     spans: Optional[SpanRecorder] = None,
     engine: str = "auto",
+    record: bool = False,
 ) -> SimResult:
     """Replay ``trace`` under ``policy`` and collect statistics.
 
@@ -68,6 +74,10 @@ def simulate_trace(
     observer is attached), or ``"auto"`` (the default — fast whenever
     applicable, identical results either way; see
     ``docs/performance.md``).
+
+    ``record`` attaches a :class:`~repro.sim.replaylog.ReplayLog` — the
+    per-access outcomes and the DRAM request stream — to the result
+    (``result.log``), identical on both engines.
     """
     # Imported lazily: repro.fastsim pulls in repro.sim submodules, so a
     # module-level import would cycle through the package __init__.
@@ -76,7 +86,7 @@ def simulate_trace(
 
     if choose_engine(engine, policy, observer) == ENGINE_FAST:
         return fast_simulate_trace(
-            trace, policy, llc_config, uncached_streams, spans
+            trace, policy, llc_config, uncached_streams, spans, record
         )
     if spans is None:
         spans = SpanRecorder()
@@ -98,8 +108,22 @@ def simulate_trace(
     setup_seconds = time.perf_counter() - setup_started
     access = llc.access
     replay_started = time.perf_counter()
+    log = None
     with spans.span("replay"):
-        if next_uses is not None:
+        if record:
+            outcomes, writeback_index, writeback_address = _recorded_replay(
+                llc, addresses, streams, writes, next_uses
+            )
+            # Release the replay lists before the merge allocates.
+            del addresses, streams, writes, next_uses
+            log = ReplayLog.assemble(
+                np.frombuffer(outcomes, dtype=np.uint8),
+                trace.addresses,
+                np.frombuffer(writeback_index, dtype=np.int64),
+                np.frombuffer(writeback_address, dtype=np.uint64),
+                "reference",
+            )
+        elif next_uses is not None:
             for address, stream, write, next_use in zip(
                 addresses, streams, writes, next_uses
             ):
@@ -116,6 +140,7 @@ def simulate_trace(
         setup_seconds=setup_seconds,
         replay_seconds=replay_seconds,
         trace_meta=dict(trace.meta),
+        log=log,
     )
     if isinstance(llc.policy, RRIPPolicy):
         # Figure 8 needs the fraction of RT/TEX fills at the distant RRPV.
@@ -126,3 +151,29 @@ def simulate_trace(
             for sclass in StreamClass
         }
     return result
+
+
+def _recorded_replay(llc: LLC, addresses, streams, writes, next_uses):
+    """The reference replay loop, logging outcomes and write-backs.
+
+    Returns the per-access outcomes and, for every dirty eviction, the
+    trace index of the access that caused it and the victim's address.
+    """
+    index = 0
+    writeback_index = array.array("q")
+    writeback_address = array.array("Q")
+
+    def writeback_sink(address: int) -> None:
+        writeback_index.append(index)
+        writeback_address.append(address)
+
+    llc.writeback_sink = writeback_sink
+    access = llc.access
+    outcomes = bytearray(len(addresses))
+    if next_uses is None:
+        next_uses = itertools.repeat(NEVER)
+    for index, (address, stream, write, next_use) in enumerate(
+        zip(addresses, streams, writes, next_uses)
+    ):
+        outcomes[index] = access(address, stream, write, next_use)
+    return outcomes, writeback_index, writeback_address

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.cache.stats import LLCStats
 from repro.errors import SimulationError
+from repro.sim.replaylog import ReplayLog
 
 
 @dataclasses.dataclass
@@ -27,6 +28,9 @@ class SimResult:
     trace_meta: Mapping[str, object] = dataclasses.field(default_factory=dict)
     #: Policy-specific extras (e.g. DRRIP fill-RRPV fractions, epoch data).
     extras: Dict[str, object] = dataclasses.field(default_factory=dict)
+    #: Per-access outcomes and DRAM request stream, present when the
+    #: replay ran with ``record=True`` (see :mod:`repro.sim.replaylog`).
+    log: Optional[ReplayLog] = None
 
     @property
     def misses(self) -> int:

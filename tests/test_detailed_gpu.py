@@ -78,3 +78,12 @@ def test_fps_full_scale_correction(system, trace):
     timing = simulate_frame_detailed(trace, "lru", system)
     corrected = dataclasses.replace(timing, scale=0.5)
     assert corrected.fps_full_scale == pytest.approx(corrected.fps * 0.25)
+
+
+@pytest.mark.parametrize("policy", ["drrip+ucd", "gspc+ucd", "belady"])
+def test_engines_record_the_same_log(system, trace, policy):
+    """The queueing model consumes a replay log; either engine's log
+    yields the identical timing."""
+    reference = DetailedGPUSimulator(system, engine="reference").run(trace, policy)
+    fast = DetailedGPUSimulator(system, engine="fast").run(trace, policy)
+    assert fast == reference

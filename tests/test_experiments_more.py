@@ -82,6 +82,13 @@ def test_fig15_speedups_positive():
     for row in table.rows:
         for cell in row[1:]:
             assert cell > 0.0
+    # gs-drrip+ucd has no kernel, so auto replays it on the reference engine.
+    assert table.provenance["timing_engines"] == {
+        "drrip+ucd": "fast",
+        "nru+ucd": "fast",
+        "gs-drrip+ucd": "reference",
+        "gspc+ucd": "fast",
+    }
 
 
 def test_fig16_uses_16mb():

@@ -215,9 +215,11 @@ def test_kernel_source_is_compilable_python():
         "gspztc_tse",
         "gspc",
     ):
-        source = kernel_source(kind)
-        assert source.startswith("def replay(")
-        compile(source, f"<{kind}>", "exec")
+        for logged in (False, True):
+            source = kernel_source(kind, logged)
+            assert source.startswith("def replay(")
+            assert ("log_miss(index)" in source) == logged
+            compile(source, f"<{kind}>", "exec")
 
 
 def test_kernel_for_caches_and_records_source():
@@ -225,6 +227,8 @@ def test_kernel_for_caches_and_records_source():
     assert kernel is kernel_for("nru")
     assert kernel.__name__ == "replay_nru"
     assert "referenced.index(False, base, end)" in kernel.__source__
+    logged = kernel_for("nru", logged=True)
+    assert logged is not kernel and logged.__name__ == "replay_nru_logged"
 
 
 def test_kernel_source_rejects_unknown_kind():

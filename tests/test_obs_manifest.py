@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.analysis.tables import Table
 from repro.cli import main as sim_main
 from repro.config import CacheParams, KB, LLCConfig
 from repro.errors import ObservabilityError
@@ -82,6 +83,8 @@ def test_timing_manifest_valid():
     )
     assert manifest["kind"] == "frame-timing"
     assert manifest["metrics"]["frame_ns"] > 0
+    assert manifest["engine"] == "fast"  # lru has a kernel; auto picks it
+    assert "engine" not in manifest["metrics"]
     assert validate_manifest(manifest) == []
 
 
@@ -92,6 +95,18 @@ def test_experiment_manifest_valid():
     assert manifest["experiment"]["id"] == "fig01"
     assert manifest["phases"]["replay_seconds"] == 1.5
     assert validate_manifest(manifest) == []
+
+
+def test_experiment_manifest_reports_table_provenance():
+    table = Table("Figure 15", ["Application", "GSPC+UCD"])
+    table.provenance["timing_engines"] = {"gspc+ucd": "fast"}
+    plain = Table("Table 1", ["Application"])
+    manifest = experiment_manifest("fig15", "Performance", tables=[table, plain])
+    entries = manifest["metrics"]["tables"]
+    assert entries[0]["provenance"] == {"timing_engines": {"gspc+ucd": "fast"}}
+    assert "provenance" not in entries[1]
+    assert validate_manifest(manifest) == []
+    assert table.to_csv() == "Application,GSPC+UCD\n"
 
 
 def test_validation_catches_problems():
