@@ -22,6 +22,7 @@ from repro.fastsim.dispatch import (
     ENGINE_REFERENCE,
     ENGINES,
     FAST_POLICIES,
+    UNCOVERED_POLICIES,
     choose_engine,
     supports_policy,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "ENGINE_REFERENCE",
     "ENGINES",
     "FAST_POLICIES",
+    "UNCOVERED_POLICIES",
     "choose_engine",
     "fast_simulate_trace",
     "supports_policy",

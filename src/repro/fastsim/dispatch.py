@@ -2,12 +2,15 @@
 
 The fast engine covers the policies whose per-access transitions
 specialize into a flat loop: ``nru``, ``lru``, ``srrip``, ``drrip``
-(any RRPV width, set-dueling included), ``belady``, and the paper's
-GSPC family — ``gspztc``, ``gspztc+tse``, and ``gspc`` (epoch/TSE
-state machine plus PROD/CONS render-target protection).  Everything
-else — SHiP, GS-DRRIP, ``gspc+bypass``, and any run that attaches an
+(any RRPV width, set-dueling included), ``belady``, the paper's
+baselines ``ship-mem`` (region-signature SHCT) and ``gs-drrip`` (one
+duel per stream class, any RRPV width), and the paper's GSPC family —
+``gspztc``, ``gspztc+tse``, and ``gspc`` (epoch/TSE state machine plus
+PROD/CONS render-target protection).  The uncovered registry policies
+(:data:`UNCOVERED_POLICIES`: ``gspc+bypass``, ``dip``, ``bip``,
+``brrip``) and any run that attaches an
 :class:`~repro.cache.llc.LLCObserver` (the fast kernels have no event
-hooks) — uses the reference engine.
+hooks) use the reference engine.
 
 ``auto`` (the default everywhere) picks the fast engine exactly when it
 is applicable and silently falls back otherwise, so results never
@@ -34,6 +37,7 @@ from typing import Optional, Tuple
 from repro.core.base import ReplacementPolicy
 from repro.core.belady import BeladyPolicy
 from repro.core.drrip import DRRIPPolicy
+from repro.core.gs_drrip import GSDRRIPPolicy
 from repro.core.gspc import GSPCPolicy
 from repro.core.gspztc import GSPZTCPolicy
 from repro.core.gspztc_tse import GSPZTCTSEPolicy
@@ -45,6 +49,7 @@ from repro.core.registry import (
     policy_spec,
     resolve_policy,
 )
+from repro.core.ship import SHiPMemPolicy
 from repro.core.srrip import SRRIPPolicy
 from repro.errors import SimulationError
 
@@ -55,15 +60,16 @@ ENGINE_AUTO = "auto"
 ENGINES = (ENGINE_REFERENCE, ENGINE_FAST, ENGINE_AUTO)
 
 #: Exact policy classes with a specialized kernel, keyed to the kernel
-#: name.  Exact type checks, not ``isinstance``: a subclass (GS-DRRIP
-#: derives from DRRIP, SHiP from SRRIP, the bypass extension from GSPC)
-#: overrides hooks the kernel has inlined, so it must take the
-#: reference path.
+#: name.  Exact type checks, not ``isinstance``: a subclass (the bypass
+#: extension of GSPC, DIP/BIP of LRU) overrides hooks the kernel has
+#: inlined, so it must take the reference path.
 _KERNEL_OF_TYPE = {
     NRUPolicy: "nru",
     LRUPolicy: "lru",
     SRRIPPolicy: "srrip",
     DRRIPPolicy: "drrip",
+    GSDRRIPPolicy: "gs_drrip",
+    SHiPMemPolicy: "ship_mem",
     BeladyPolicy: "belady",
     GSPZTCPolicy: "gspztc",
     GSPZTCTSEPolicy: "gspztc_tse",
@@ -71,8 +77,13 @@ _KERNEL_OF_TYPE = {
 }
 
 
-def _covered_registry_names() -> Tuple[str, ...]:
-    """Registry base names whose *built* policy has a kernel.
+#: The per-access hooks a kernel inlines: what :func:`uncovered_reason`
+#: reports a subclass as overriding.
+_HOOKS = ("should_bypass", "select_victim", "on_hit", "on_fill", "on_evict")
+
+
+def _registry_names(covered: bool) -> Tuple[str, ...]:
+    """Registry base names whose *built* policy has (or lacks) a kernel.
 
     Derived from the registry rather than hand-listed so the strict
     ``--engine fast`` error (and the benchmarks) stay truthful as
@@ -81,14 +92,31 @@ def _covered_registry_names() -> Tuple[str, ...]:
     """
     names = []
     for name in available_policies():
-        if type(policy_spec(name).build()) in _KERNEL_OF_TYPE:
+        if (type(policy_spec(name).build()) in _KERNEL_OF_TYPE) == covered:
             names.append(name)
     return tuple(sorted(names))
 
 
 #: Registry base names covered by the fast engine (each also accepts
-#: ``+ucd`` and, for DRRIP, any RRPV width — coverage is by class).
-FAST_POLICIES = _covered_registry_names()
+#: ``+ucd`` and, for (GS-)DRRIP, any RRPV width — coverage is by class).
+FAST_POLICIES = _registry_names(covered=True)
+#: Registry base names that always replay on the reference engine.
+UNCOVERED_POLICIES = _registry_names(covered=False)
+
+
+def uncovered_reason(instance: ReplacementPolicy) -> str:
+    """Why ``instance`` has no kernel, naming the hooks it overrides.
+
+    Measured against the nearest ancestor with a kernel, or against the
+    direct base class when no ancestor has one (e.g. ``GSPCBypassPolicy
+    subclasses GSPCPolicy and overrides should_bypass``).
+    """
+    cls = type(instance)
+    parents = [base for base in cls.__mro__[1:] if base in _KERNEL_OF_TYPE]
+    parent = parents[0] if parents else cls.__mro__[1]
+    hooks = [h for h in _HOOKS if getattr(cls, h) is not getattr(parent, h, None)]
+    overrides = ", ".join(hooks) if hooks else "no access hook"
+    return f"{cls.__name__} subclasses {parent.__name__} and overrides {overrides}"
 
 
 def kernel_kind(instance: ReplacementPolicy) -> Optional[str]:
@@ -125,10 +153,11 @@ def choose_engine(
                 "or use --engine reference"
             )
         if not covered:
-            supported = ", ".join(FAST_POLICIES)
             raise SimulationError(
-                f"policy {instance.name!r} is not covered by the fast engine "
-                f"(covered: {supported}); use --engine auto or reference"
+                f"policy {instance.name!r} is not covered by the fast engine: "
+                f"{uncovered_reason(instance)} (covered: "
+                f"{', '.join(FAST_POLICIES)}; uncovered: "
+                f"{', '.join(UNCOVERED_POLICIES)}); use --engine auto or reference"
             )
         return ENGINE_FAST
     if observer is not None or not covered:

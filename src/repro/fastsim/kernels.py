@@ -20,25 +20,39 @@ They lean on C-level list primitives — ``list.index`` with bounds,
 on miss-heavy traces.  Stream-class constants are inlined: ``0`` is Z,
 ``1`` is TEX, ``2`` is RT (:data:`repro.streams.StreamClass`).
 
-The GSPC family (``gspztc``, ``gspztc_tse``, ``gspc``) adds per-bank
-saturating counters and a per-line epoch state array on top of the
-RRIP substrate; those kernels additionally consume the pre-decoded
-``bank`` / ``sample`` columns (see :mod:`repro.fastsim.decode`).
+Kernels cover every policy of the paper's evaluation.  On top of the
+RRIP substrate, ``drrip`` and ``gs_drrip`` add set dueling (one duel,
+or one per stream class), and ``ship_mem`` adds per-line signatures
+over a flat per-bank SHCT whose bank offset is looked up by ``base``,
+so neither needs a decode column beyond the common ones.  The GSPC
+family (``gspztc``, ``gspztc_tse``, ``gspc``) adds per-bank saturating
+counters and a per-line epoch state array; those kernels additionally
+consume the pre-decoded ``bank`` / ``sample`` columns (see
+:mod:`repro.fastsim.decode`).  Which policy classes map to which kernel
+is decided in :mod:`repro.fastsim.dispatch`.
 """
 
 from __future__ import annotations
 
+import array
+import functools
 import string
 import textwrap
 from typing import Callable, Dict, Tuple
+
+import numpy as np
 
 from repro.core.base import NEVER
 from repro.core.brrip import BIMODAL_PERIOD
 from repro.core.dueling import leader_roles
 from repro.core.gspc import LOW_FACTOR, MID_FACTOR
+from repro.core.gs_drrip import NUM_STREAM_CLASSES
 from repro.core.gspc_base import ProbabilisticStreamPolicy
 from repro.core.rrip import RRIPPolicy
+from repro.core.ship import COUNTER_MAX as SHIP_COUNTER_MAX
+from repro.core.ship import REGION_BITS, REGION_SHIFT, TABLE_ENTRIES
 from repro.errors import SimulationError
+from repro.fastsim.dispatch import kernel_kind
 
 _TEMPLATE = string.Template("""\
 def replay(blocks, bases, streams, sclasses, writes, next_uses,
@@ -164,33 +178,103 @@ clocks[base] = clock
 stamps[slot] = clock
 """
 
+
 # DRRIP fill: leader misses move PSEL first, then the set's role (or
 # the duel winner, for followers) picks SRRIP or BRRIP insertion.
-# Roles: 1 = SRRIP leader, 2 = BRRIP leader, 0 = follower.
-_DRRIP_FILL = """\
-role = roles_by_base[base]
+# Roles: 1 = SRRIP leader, 2 = BRRIP leader, 0 = follower.  ``role``,
+# ``psel`` and ``tick`` name where the duel's state lives: one scalar
+# each for DRRIP, one list element per stream class for GS-DRRIP.
+def _dueling_fill(role: str, psel: str, tick: str) -> str:
+    bimodal = f"""\
+{tick} += 1
+if {tick} >= bimodal_period:
+    {tick} = 0
+    value = long_rrpv
+else:
+    value = max_rrpv"""
+    return f"""\
+role = {role}
 if role == 1:
-    if psel < psel_max:
-        psel += 1
+    if {psel} < psel_max:
+        {psel} += 1
     value = long_rrpv
 elif role == 2:
-    if psel > 0:
-        psel -= 1
-    fill_tick += 1
-    if fill_tick >= bimodal_period:
-        fill_tick = 0
-        value = long_rrpv
-    else:
-        value = max_rrpv
-elif psel > psel_mid:
-    fill_tick += 1
-    if fill_tick >= bimodal_period:
-        fill_tick = 0
-        value = long_rrpv
-    else:
-        value = max_rrpv
+    if {psel} > 0:
+        {psel} -= 1
+{textwrap.indent(bimodal, "    ")}
+elif {psel} > psel_mid:
+{textwrap.indent(bimodal, "    ")}
 else:
     value = long_rrpv
+rrpv[slot] = value - age[base]
+fill_counts[sclass][value] += 1
+"""
+
+
+_DRRIP_FILL = _dueling_fill("roles_by_base[base]", "psel", "fill_tick")
+
+# GS-DRRIP runs one DRRIP duel per stream class.  Its roles live in one
+# flat table indexed ``base * 4 + sclass``: four entries per slot, so
+# the index stays unique even when a set has fewer than four ways.
+_GS_DRRIP_FILL = _dueling_fill(
+    "roles_by_class[base * 4 + sclass]", "psels[sclass]", "fill_ticks[sclass]"
+)
+
+_GS_DRRIP_SETUP = """\
+roles = params["roles"]
+roles_by_class = [0] * (total_slots * 4)
+for sclass_i in range(4):
+    class_roles = roles[sclass_i]
+    for set_i in range(num_sets):
+        roles_by_class[set_i * ways * 4 + sclass_i] = class_roles[set_i]
+psels = [params["psel_midpoint"]] * 4
+psel_mid = params["psel_midpoint"]
+psel_max = params["psel_max"]
+bimodal_period = params["bimodal_period"]
+fill_ticks = [0] * 4
+"""
+
+# SHiP-mem: each slot remembers its fill's SHCT index (bank offset plus
+# region signature) and whether it was reused.  The SHCT is one flat
+# list of ``banks * TABLE_ENTRIES`` counters; ``shct_base`` holds each
+# set's bank offset at its base slot, so the kernel needs no per-access
+# bank column.  ``sig_table`` maps a 14-bit region to its signature.
+_SHIP_SETUP = f"""\
+table_entries = {TABLE_ENTRIES}
+shct = [1] * (params["banks"] * table_entries)
+bank_of_set = params["bank_of_set"]
+shct_base = [0] * total_slots
+for set_i in range(num_sets):
+    shct_base[set_i * ways] = bank_of_set[set_i] * table_entries
+sig_table = params["sig_table"]
+region_shift = params["region_shift"]
+region_mask = {(1 << REGION_BITS) - 1}
+sigs = [0] * total_slots
+reused = [False] * total_slots
+"""
+
+_SHIP_ON_HIT = f"""\
+rrpv[slot] = -age[base]
+sig = sigs[slot]
+if shct[sig] < {SHIP_COUNTER_MAX}:
+    shct[sig] += 1
+reused[slot] = True
+"""
+
+# The never-reused decrement is ``on_evict``: after victim selection,
+# before the fill reads the (possibly same) counter.
+_SHIP_VICTIM = _RRIP_VICTIM + """\
+if not reused[slot]:
+    sig = sigs[slot]
+    if shct[sig] > 0:
+        shct[sig] -= 1
+"""
+
+_SHIP_ON_FILL = """\
+sig = shct_base[base] + sig_table[(block >> region_shift) & region_mask]
+sigs[slot] = sig
+reused[slot] = False
+value = long_rrpv if shct[sig] else max_rrpv
 rrpv[slot] = value - age[base]
 fill_counts[sclass][value] += 1
 """
@@ -496,6 +580,20 @@ fill_tick = 0
         "on_fill": _DRRIP_FILL,
         "fill_counts": True,
     },
+    "gs_drrip": {
+        "setup": _RRIP_SETUP + _GS_DRRIP_SETUP,
+        "on_hit": "rrpv[slot] = -age[base]",
+        "select_victim": _RRIP_VICTIM,
+        "on_fill": _GS_DRRIP_FILL,
+        "fill_counts": True,
+    },
+    "ship_mem": {
+        "setup": _RRIP_SETUP + _SHIP_SETUP,
+        "on_hit": _SHIP_ON_HIT,
+        "select_victim": _SHIP_VICTIM,
+        "on_fill": _SHIP_ON_FILL,
+        "fill_counts": True,
+    },
     "belady": {
         "setup": 'next_slot = [params["never"]] * total_slots',
         "on_hit": "next_slot[slot] = next_use",
@@ -626,8 +724,41 @@ def kernel_for(kind: str, logged: bool = False) -> Callable:
     return kernel
 
 
+@functools.lru_cache(maxsize=None)
+def ship_signature_table() -> array.array:
+    """SHiP-mem's signature of every 14-bit region, in region order.
+
+    ``mix_bits(region) & (TABLE_ENTRIES - 1)`` for all ``2**14`` regions,
+    as one vectorized splitmix64 pass (uint64 arithmetic wraps exactly
+    like the masked Python version).  Built on first use and kept for
+    the life of the process: importing this module stays cheap, and
+    replays after the first pay nothing for it.  A 16-bit typed array
+    (32 KB) rather than a list of int objects (about 0.6 MB), since it
+    stays resident; kernels only read it.
+    """
+    value = np.arange(1 << REGION_BITS, dtype=np.uint64)
+    value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    value ^= value >> np.uint64(31)
+    signatures = (value & np.uint64(TABLE_ENTRIES - 1)).astype(np.uint16)
+    return array.array("H", signatures.tobytes())
+
+
+def _dueling_params(instance) -> Dict[str, object]:
+    return {
+        "psel_max": (1 << instance.psel_bits) - 1,
+        "psel_midpoint": 1 << (instance.psel_bits - 1),
+        "bimodal_period": BIMODAL_PERIOD,
+    }
+
+
 def kernel_params(instance, geometry) -> Dict[str, object]:
-    """Per-run parameters a kernel reads from its policy instance."""
+    """Per-run parameters a kernel reads from its policy instance.
+
+    Keyed on the instance's kernel, not on its attributes: GS-DRRIP
+    carries DRRIP's ``psel_bits`` but duels once per stream class.
+    """
+    kind = kernel_kind(instance)
     if isinstance(instance, ProbabilisticStreamPolicy):
         return {
             "max_rrpv": instance.max_rrpv,
@@ -636,18 +767,46 @@ def kernel_params(instance, geometry) -> Dict[str, object]:
             "acc_max": instance.acc_max,
             "banks": geometry.banks,
         }
-    if isinstance(instance, RRIPPolicy):
-        params: Dict[str, object] = {"max_rrpv": instance.max_rrpv}
-        if hasattr(instance, "psel_bits"):  # DRRIP set-dueling state
-            params.update(
-                roles=leader_roles(
-                    geometry.num_sets, target_leaders=instance.target_leaders
-                ),
-                psel_max=(1 << instance.psel_bits) - 1,
-                psel_midpoint=1 << (instance.psel_bits - 1),
-                bimodal_period=BIMODAL_PERIOD,
-            )
-        return params
-    if getattr(instance, "needs_future", False):
+    if kind == "belady":
         return {"never": NEVER}
-    return {}
+    if not isinstance(instance, RRIPPolicy):
+        return {}
+    params: Dict[str, object] = {"max_rrpv": instance.max_rrpv}
+    if kind == "drrip":
+        params.update(
+            _dueling_params(instance),
+            roles=leader_roles(
+                geometry.num_sets, target_leaders=instance.target_leaders
+            ),
+        )
+    elif kind == "gs_drrip":
+        # The same constructor call as GSDRRIPPolicy.bind, so a geometry
+        # too small for four duels raises the same ConfigError.
+        params.update(
+            _dueling_params(instance),
+            roles=[
+                leader_roles(
+                    geometry.num_sets,
+                    duel_index=sclass,
+                    num_duels=NUM_STREAM_CLASSES,
+                    target_leaders=instance.target_leaders,
+                )
+                for sclass in range(NUM_STREAM_CLASSES)
+            ],
+        )
+    elif kind == "ship_mem":
+        # The kernel sees block addresses; a region is the block address
+        # shifted by the bits a region has beyond a block.
+        if geometry.block_bits > REGION_SHIFT:
+            raise SimulationError(
+                "the ship-mem kernel needs blocks of at most "
+                f"{1 << REGION_SHIFT} bytes, got {geometry.block_bytes}; "
+                "use --engine reference"
+            )
+        params.update(
+            banks=geometry.banks,
+            bank_of_set=geometry.bank_of_set,
+            sig_table=ship_signature_table(),
+            region_shift=REGION_SHIFT - geometry.block_bits,
+        )
+    return params

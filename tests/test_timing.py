@@ -285,7 +285,7 @@ def test_writeback_precedes_the_evicting_read():
 def test_timing_records_engine_outside_to_dict(system, trace):
     reference = FrameTimingSimulator(system, engine="reference").run(trace, "gspc")
     auto = FrameTimingSimulator(system).run(trace, "gspc")
-    uncovered = FrameTimingSimulator(system).run(trace, "gs-drrip")
+    uncovered = FrameTimingSimulator(system).run(trace, "gspc+bypass")
     assert (reference.engine, auto.engine, uncovered.engine) == (
         "reference", "fast", "reference",
     )
