@@ -2,9 +2,15 @@
 
 Used for the small render caches in front of the LLC (vertex, HiZ, Z,
 stencil, render target, and the texture hierarchy levels).  Each set is a
-Python dict from tag to dirty flag; insertion order doubles as LRU order
-(hits delete and re-insert), which keeps the hot path allocation-free and
-O(1).
+Python dict from block address to dirty flag; insertion order doubles as
+LRU order (hits delete and re-insert, the first key is the victim), which
+keeps every access allocation-free and O(1).
+
+:meth:`LRUCache.access` is the scalar API.  The render-cache front end
+(:mod:`repro.cache.hierarchy`) does not call it per access: its batch
+loops read and update ``_sets``, ``set_mask``, ``ways``, ``block_bits``
+and ``stats`` directly with the same semantics, so any change to how a
+set is represented here must be mirrored there.
 """
 
 from __future__ import annotations
@@ -64,25 +70,23 @@ class LRUCache:
         dirty victims are reported, clean victims are dropped silently.
         """
         block = address >> self.block_bits
-        set_index = block & self.set_mask
-        tag = block >> 0  # full block address doubles as the tag
-        cache_set = self._sets[set_index]
-        if tag in cache_set:
+        cache_set = self._sets[block & self.set_mask]
+        if block in cache_set:
             # Move to MRU position, merging the dirty bit.
-            dirty = cache_set.pop(tag)
-            cache_set[tag] = dirty or is_write
+            dirty = cache_set.pop(block)
+            cache_set[block] = dirty or is_write
             self.stats.hits += 1
             return True, None
         self.stats.misses += 1
         victim_writeback = None
         if len(cache_set) >= self.ways:
-            victim_tag = next(iter(cache_set))
-            victim_dirty = cache_set.pop(victim_tag)
+            victim = next(iter(cache_set))
+            victim_dirty = cache_set.pop(victim)
             self.stats.evictions += 1
             if victim_dirty:
                 self.stats.writebacks += 1
-                victim_writeback = victim_tag << self.block_bits
-        cache_set[tag] = is_write
+                victim_writeback = victim << self.block_bits
+        cache_set[block] = is_write
         return False, victim_writeback
 
     def contains(self, address: int) -> bool:

@@ -19,6 +19,7 @@ from repro.analysis.characterize import FrameCharacterization, characterize_fram
 from repro.analysis.tables import Table
 from repro.config import DEFAULT_SCALE, LLCConfig, SystemConfig, paper_baseline
 from repro.errors import ReproError
+from repro.obs.log import get_logger
 from repro.sim.offline import simulate_trace
 from repro.sim.results import SimResult
 from repro.trace.io import load_trace, save_trace
@@ -100,8 +101,13 @@ def frame_trace(spec: FrameSpec, config: ExperimentConfig) -> Trace:
         if os.path.exists(candidate):
             try:
                 return load_trace(candidate)
-            except ReproError:
-                pass  # stale/corrupt cache entry: regenerate below
+            except ReproError as exc:
+                # Stale/corrupt cache entry: regenerate (and rewrite) below.
+                get_logger("experiments").warning(
+                    "unreadable trace cache entry %s (%s); regenerating",
+                    candidate,
+                    exc,
+                )
     trace = source.frame_trace(spec.app.abbrev, spec.frame_index, config.scale)
     save_trace(trace, path)
     return trace

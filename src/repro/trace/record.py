@@ -11,7 +11,7 @@ expensive.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -154,18 +154,27 @@ class TraceBuilder:
 
     def extend(
         self,
-        addresses: np.ndarray,
+        addresses: Union[np.ndarray, Sequence[int]],
         stream: Stream,
         is_write: bool = False,
+        write_positions: Sequence[int] = (),
     ) -> None:
-        """Append a batch of addresses sharing one stream and r/w flag."""
+        """Append a batch of addresses sharing one stream and r/w flag.
+
+        ``write_positions`` (indices into ``addresses``) marks entries
+        as stores regardless of ``is_write`` — the render-cache front
+        end's write-backs interleaved with its loads.
+        """
         addresses = np.asarray(addresses, dtype=np.uint64)
-        end = self._length + len(addresses)
+        start = self._length
+        end = start + len(addresses)
         if end > self._capacity:
             self._grow(end)
-        self._addresses[self._length : end] = addresses
-        self._streams[self._length : end] = int(stream)
-        self._writes[self._length : end] = is_write
+        self._addresses[start:end] = addresses
+        self._streams[start:end] = int(stream)
+        self._writes[start:end] = is_write
+        if len(write_positions):
+            self._writes[start:end][np.asarray(write_positions, dtype=np.intp)] = True
         self._length = end
 
     def build(self) -> Trace:

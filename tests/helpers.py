@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from repro.cache.hierarchy import RenderCacheFrontEnd
+from repro.streams import Stream
 from repro.trace.record import Trace, TraceBuilder
 
 
@@ -13,6 +15,38 @@ def make_trace(entries) -> Trace:
         write = entry[2] if len(entry) > 2 else False
         builder.append(block * 64, stream, write)
     return builder.build()
+
+
+class ScalarRenderCacheFrontEnd(RenderCacheFrontEnd):
+    """Per-access render-cache filter: the oracle for
+    :meth:`~repro.cache.hierarchy.RenderCacheFrontEnd.access_blocks`.
+
+    Chains one :meth:`~repro.cache.setassoc.LRUCache.access` call per
+    access (per level for textures) and appends each LLC access to the
+    sink on its own.  Cache construction is inherited unchanged.
+    """
+
+    def access(self, address: int, stream: Stream, is_write: bool = False) -> None:
+        self.raw_accesses += 1
+        if stream is Stream.TEXTURE:
+            for level in self.texture_levels:
+                hit, _ = level.access(address, False)
+                if hit:
+                    return
+            self.sink.append(address, Stream.TEXTURE, False)
+            return
+        if stream is Stream.DISPLAY or stream is Stream.OTHER:
+            self.sink.append(address, stream, is_write)
+            return
+        hit, writeback = self.caches[stream].access(address, is_write)
+        if writeback is not None:
+            self.sink.append(writeback, stream, True)
+        if not hit:
+            self.sink.append(address, stream, False)
+
+    def access_blocks(self, addresses, stream: Stream, is_write: bool = False) -> None:
+        for address in addresses.tolist():
+            self.access(address, stream, is_write)
 
 
 def reference_frame_timing(system, trace: Trace, policy):

@@ -1,6 +1,7 @@
 """Experiment-framework tests (micro scale: fast but end-to-end)."""
 
 import dataclasses
+import logging
 
 import pytest
 
@@ -47,6 +48,27 @@ def test_trace_cache_round_trip(tmp_path):
     again = frame_trace(spec, config)
     assert len(first) == len(again)
     assert (tmp_path / "traces").exists()
+
+
+def test_corrupt_trace_cache_entry_regenerated_with_warning(
+    tmp_path, caplog, monkeypatch
+):
+    config = dataclasses.replace(MICRO, cache_dir=str(tmp_path))
+    spec = FrameSpec(ALL_APPS[0], 0)
+    fresh = frame_trace(spec, config)
+    (entry,) = (tmp_path / "traces").glob("*.gsct")
+    good_bytes = entry.read_bytes()
+    entry.write_bytes(b"not a trace" * 7)
+    # The repro logger stops propagation once configured; let caplog see it.
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    with caplog.at_level(logging.WARNING, logger="repro"):
+        again = frame_trace(spec, config)
+    for column in ("addresses", "streams", "writes"):
+        assert getattr(again, column).tobytes() == getattr(fresh, column).tobytes()
+    assert entry.read_bytes() == good_bytes
+    (record,) = [r for r in caplog.records if r.name == "repro.experiments"]
+    assert record.levelno == logging.WARNING
+    assert str(entry) in record.getMessage()
 
 
 def test_result_cache_reuses_objects():
